@@ -80,13 +80,19 @@ pub fn inclusion_score(
     small_distinct: usize,
     big_distinct: usize,
 ) -> f64 {
+    inclusion_from_cosine(small.cosine(big), small_distinct, big_distinct)
+}
+
+/// [`inclusion_score`] from an already computed `cos(small, big)`, so a
+/// pairwise pass can compute each cosine once and score both directions.
+pub fn inclusion_from_cosine(cos: f64, small_distinct: usize, big_distinct: usize) -> f64 {
     if small_distinct == 0 || big_distinct == 0 || small_distinct > big_distinct {
         return 0.0;
     }
     // If small ⊆ big, the expected cosine is ≈ sqrt(|small| / |big|)
     // (shared mass over the larger set's norm). Score = observed/expected.
     let expected = (small_distinct as f64 / big_distinct as f64).sqrt();
-    (small.cosine(big) / expected).clamp(0.0, 1.0)
+    (cos / expected).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

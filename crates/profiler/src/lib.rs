@@ -12,6 +12,7 @@
 //! (`catdb-catalog`) and ultimately for prompt construction.
 
 mod embedding;
+mod pairwise;
 mod profile;
 mod sketch;
 mod types;

@@ -1,7 +1,8 @@
 //! Algorithm 1 — PROFILING(D, τ₁): extract per-column metadata, feature
 //! types, dependencies (via embeddings), samples, and statistics.
 
-use crate::embedding::{inclusion_score, ColumnEmbedding};
+use crate::embedding::{inclusion_from_cosine, ColumnEmbedding};
+use crate::pairwise::{NumericView, PairCorrelations};
 use crate::sketch::{ColumnSketch, PairMoments};
 use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
 use catdb_table::{
@@ -126,8 +127,8 @@ fn distinct_values(col: &Column) -> (Arc<ValueDict>, f64) {
     (dict, ratio)
 }
 
-fn numeric_stats(col: &Column) -> Option<NumericStats> {
-    let mut vals: Vec<f64> = col.to_f64_vec().into_iter().flatten().collect();
+fn numeric_stats(view: &NumericView) -> Option<NumericStats> {
+    let mut vals: Vec<f64> = view.present().collect();
     if vals.is_empty() {
         return None;
     }
@@ -180,51 +181,13 @@ fn detect_feature_type(
     }
 }
 
-/// Pearson |correlation| between two numeric columns over co-present rows.
-fn pearson_abs(a: &Column, b: &Column) -> f64 {
-    let av = a.to_f64_vec();
-    let bv = b.to_f64_vec();
-    let pairs: Vec<(f64, f64)> =
-        av.iter().zip(&bv).filter_map(|(x, y)| Some(((*x)?, (*y)?))).collect();
-    if pairs.len() < 3 {
-        return 0.0;
-    }
-    let n = pairs.len() as f64;
-    let mx = pairs.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = pairs.iter().map(|p| p.1).sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in &pairs {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx < 1e-12 || vy < 1e-12 {
-        return 0.0;
-    }
-    (cov / (vx.sqrt() * vy.sqrt())).abs()
-}
-
 struct PartialProfile {
-    idx: usize,
-    distinct: Arc<ValueDict>,
+    n_distinct: usize,
     embedding: ColumnEmbedding,
+    /// Dense values of a numeric column, for the pairwise pass.
+    view: Option<NumericView>,
     profile: ColumnProfile,
     micros: u64,
-}
-
-/// One precomputed cell of the pairwise pass: values are computed in
-/// parallel, then applied sequentially in the original iteration order so
-/// the output is byte-identical to the sequential version.
-struct PairCell {
-    j: usize,
-    /// Cosine similarity, computed once per unordered pair (at `i < j`).
-    cos: Option<f64>,
-    /// |Pearson|, only for numeric-numeric pairs at `i < j`.
-    corr: Option<f64>,
-    /// Inclusion score of column i's value set inside column j's.
-    incl: f64,
 }
 
 struct MemoEntry {
@@ -328,19 +291,25 @@ fn profile_exact(
             let embedding =
                 ColumnEmbedding::from_distinct_values(distinct.values().iter().map(|s| s.as_str()));
             // Samples: all distinct values for categoricals, else τ₁
-            // random values (Algorithm 1, line 10).
+            // random values (Algorithm 1, line 10). The shuffle's draws
+            // depend only on the length, so shuffling indices picks the
+            // same values as shuffling the values themselves.
             let samples = if matches!(feature_type, FeatureType::Categorical | FeatureType::Boolean)
             {
                 distinct.values().to_vec()
             } else {
                 let mut rng = StdRng::seed_from_u64(opts.seed ^ *idx as u64);
-                let mut pool: Vec<String> = distinct.values().to_vec();
-                pool.shuffle(&mut rng);
-                pool.truncate(opts.n_samples);
-                pool
+                let mut pick: Vec<usize> = (0..distinct.n_distinct()).collect();
+                pick.shuffle(&mut rng);
+                pick.truncate(opts.n_samples);
+                pick.into_iter().map(|k| distinct.values()[k].clone()).collect()
             };
-            let statistics =
-                if feature_type == FeatureType::Numerical { numeric_stats(col) } else { None };
+            let view = NumericView::new(col);
+            let statistics = if feature_type == FeatureType::Numerical {
+                view.as_ref().and_then(numeric_stats)
+            } else {
+                None
+            };
             let profile = ColumnProfile {
                 name: name.clone(),
                 data_type: col.dtype(),
@@ -362,9 +331,9 @@ fn profile_exact(
                 statistics,
             };
             PartialProfile {
-                idx: *idx,
-                distinct,
+                n_distinct: distinct.n_distinct(),
                 embedding,
+                view,
                 profile,
                 micros: col_started.elapsed().as_micros() as u64,
             }
@@ -380,57 +349,33 @@ fn profile_exact(
         });
     }
 
-    // Pairwise pass: similarities and inclusion dependencies from the
-    // embeddings, correlations among numeric columns. The O(m²) float
-    // work is computed row-parallel on the runtime; the threshold checks
-    // and pushes below replay the original sequential order.
-    let row_idx: Vec<usize> = (0..partials.len()).collect();
-    let pair_rows: Vec<Vec<PairCell>> =
-        catdb_runtime::parallel_map(n_threads, &row_idx, |_, &i| {
-            (0..partials.len())
-                .filter(|&j| j != i)
-                .map(|j| {
-                    let (a, b) = (&partials[i], &partials[j]);
-                    let cos = (i < j).then(|| a.embedding.cosine(&b.embedding));
-                    let corr = (i < j
-                        && a.profile.data_type.is_numeric()
-                        && b.profile.data_type.is_numeric())
-                    .then(|| pearson_abs(table.column_at(a.idx), table.column_at(b.idx)));
-                    let incl = inclusion_score(
-                        &a.embedding,
-                        &b.embedding,
-                        a.distinct.n_distinct(),
-                        b.distinct.n_distinct(),
-                    );
-                    PairCell { j, cos, corr, incl }
-                })
-                .collect()
-        });
+    let column_events: Vec<(String, String, u64)> = partials
+        .iter()
+        .map(|p| (p.profile.name.clone(), p.profile.feature_type.label().to_string(), p.micros))
+        .collect();
 
-    let mut profiles: Vec<ColumnProfile> = partials.iter().map(|p| p.profile.clone()).collect();
-    for (i, cells) in pair_rows.iter().enumerate() {
-        for cell in cells {
-            let (a, b) = (&partials[i], &partials[cell.j]);
-            if let Some(cos) = cell.cos {
-                if cos >= opts.similarity_threshold {
-                    profiles[i].similarities.push((b.profile.name.clone(), cos));
-                    profiles[cell.j].similarities.push((a.profile.name.clone(), cos));
-                }
-            }
-            if let Some(corr) = cell.corr {
-                if corr >= 0.3 {
-                    profiles[i].correlations.push((b.profile.name.clone(), corr));
-                    profiles[cell.j].correlations.push((a.profile.name.clone(), corr));
-                }
-            }
-            // Inclusion: is column i's value set inside column j's?
-            if cell.incl >= opts.inclusion_threshold && a.distinct.n_distinct() >= 2 {
-                profiles[i].inclusion_dependencies.push(b.profile.name.clone());
-            }
-        }
-        profiles[i].similarities.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-        profiles[i].correlations.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+    // Pairwise pass: exact correlations among numeric columns from the
+    // tiled kernel, then similarities and inclusion dependencies from
+    // the embeddings.
+    let (numeric, views): (Vec<usize>, Vec<&NumericView>) =
+        partials.iter().enumerate().filter_map(|(i, p)| Some((i, p.view.as_ref()?))).unzip();
+    let corr = PairCorrelations::compute(&views, n_threads);
+    let mut view_of = vec![None; partials.len()];
+    for (p, &i) in numeric.iter().enumerate() {
+        view_of[i] = Some(p);
     }
+
+    let mut profiles = Vec::with_capacity(partials.len());
+    let mut embeddings = Vec::with_capacity(partials.len());
+    let mut distincts = Vec::with_capacity(partials.len());
+    for p in partials {
+        profiles.push(p.profile);
+        embeddings.push(p.embedding);
+        distincts.push(p.n_distinct);
+    }
+    link_columns(&mut profiles, &embeddings, &distincts, opts, |i, j| {
+        Some(corr.get(view_of[i]?, view_of[j]?))
+    });
 
     let profile = DataProfile {
         dataset_name: name.to_string(),
@@ -438,11 +383,60 @@ fn profile_exact(
         columns: profiles,
         elapsed_seconds: started.elapsed().as_secs_f64(),
     };
-    let column_events: Vec<(String, String, u64)> = partials
-        .iter()
-        .map(|p| (p.profile.name.clone(), p.profile.feature_type.label().to_string(), p.micros))
-        .collect();
     (profile, column_events)
+}
+
+/// The pairwise pass both profiling paths share: similarities and
+/// inclusion dependencies from the embeddings, correlations from `corr`
+/// (`Some` only for numeric pairs, asked with `i < j`). Each cosine is
+/// computed once per unordered pair, on the runtime pool, and serves the
+/// similarity and both inclusion directions (it is symmetric bit for
+/// bit). The pushes then replay one fixed order, so the output does not
+/// depend on the thread count.
+fn link_columns(
+    profiles: &mut [ColumnProfile],
+    embeddings: &[ColumnEmbedding],
+    distincts: &[usize],
+    opts: &ProfileOptions,
+    corr: impl Fn(usize, usize) -> Option<f64>,
+) {
+    let m = profiles.len();
+    let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
+    let rows: Vec<usize> = (0..m).collect();
+    let cosines: Vec<Vec<f64>> =
+        catdb_runtime::parallel_map(opts.n_threads.max(1), &rows, |_, &i| {
+            embeddings[i + 1..].iter().map(|e| embeddings[i].cosine(e)).collect()
+        });
+    let cosine = |i: usize, j: usize| {
+        let (a, b) = (i.min(j), i.max(j));
+        cosines[a][b - a - 1]
+    };
+    for i in 0..m {
+        for j in (0..m).filter(|&j| j != i) {
+            let cos = cosine(i, j);
+            if i < j {
+                if cos >= opts.similarity_threshold {
+                    profiles[i].similarities.push((names[j].clone(), cos));
+                    profiles[j].similarities.push((names[i].clone(), cos));
+                }
+                if let Some(corr) = corr(i, j) {
+                    if corr >= 0.3 {
+                        profiles[i].correlations.push((names[j].clone(), corr));
+                        profiles[j].correlations.push((names[i].clone(), corr));
+                    }
+                }
+            }
+            // Inclusion: is column i's value set inside column j's?
+            if distincts[i] >= 2
+                && inclusion_from_cosine(cos, distincts[i], distincts[j])
+                    >= opts.inclusion_threshold
+            {
+                profiles[i].inclusion_dependencies.push(names[j].clone());
+            }
+        }
+        profiles[i].similarities.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+        profiles[i].correlations.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -594,30 +588,9 @@ fn finalize_sketch(
 
     let corr_of: HashMap<(usize, usize), f64> =
         acc.pair_idx.iter().zip(&acc.pairs).map(|(&ij, p)| (ij, p.pearson_abs())).collect();
-    let m = profiles.len();
-    for i in 0..m {
-        for j in (0..m).filter(|&j| j != i) {
-            if i < j {
-                let cos = embeddings[i].cosine(&embeddings[j]);
-                if cos >= opts.similarity_threshold {
-                    profiles[i].similarities.push((fields[j].0.clone(), cos));
-                    profiles[j].similarities.push((fields[i].0.clone(), cos));
-                }
-                if let Some(&corr) = corr_of.get(&(i, j)) {
-                    if corr >= 0.3 {
-                        profiles[i].correlations.push((fields[j].0.clone(), corr));
-                        profiles[j].correlations.push((fields[i].0.clone(), corr));
-                    }
-                }
-            }
-            let incl = inclusion_score(&embeddings[i], &embeddings[j], distincts[i], distincts[j]);
-            if incl >= opts.inclusion_threshold && distincts[i] >= 2 {
-                profiles[i].inclusion_dependencies.push(fields[j].0.clone());
-            }
-        }
-        profiles[i].similarities.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-        profiles[i].correlations.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-    }
+    link_columns(&mut profiles, &embeddings, &distincts, opts, |i, j| {
+        corr_of.get(&(i, j)).copied()
+    });
 
     let column_events: Vec<(String, String, u64)> = profiles
         .iter()

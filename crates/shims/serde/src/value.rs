@@ -467,12 +467,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain characters up to the next quote
+                    // or escape in one go. Both stop bytes are ASCII, so the
+                    // run ends on a char boundary of the source `&str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -507,4 +511,27 @@ pub fn parse_json(text: &str) -> Result<Value, DeError> {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strings_round_trip_through_escapes_and_multibyte_runs() {
+        for s in [
+            "",
+            "plain",
+            "a \"quoted\" \\ path\n\t\r\u{1}",
+            "ü 日本 🎉 — é",
+            "\\u0041 literal",
+            "é\"ü\\",
+        ] {
+            let json = Value::String(s.to_string()).to_compact_string();
+            assert_eq!(parse_json(&json).unwrap(), Value::String(s.to_string()), "{json}");
+        }
+        assert_eq!(parse_json(r#""éx""#).unwrap(), Value::String("éx".to_string()));
+        let err = parse_json("\"open ü").unwrap_err().to_string();
+        assert!(err.contains("unterminated string"), "{err}");
+    }
 }
