@@ -63,6 +63,20 @@ impl OutlierRemover {
     }
 }
 
+/// Mean of the `k` smallest values (the sum still divides by `k` when
+/// fewer are present). Selects the k-prefix, then sorts only it, so the
+/// values are summed in ascending `total_cmp` order: bit-identical to
+/// summing the prefix of a full sort, at O(n + k log k).
+fn mean_k_smallest(values: &mut [f64], k: usize) -> f64 {
+    let take = k.min(values.len());
+    if take < values.len() {
+        values.select_nth_unstable_by(take - 1, f64::total_cmp);
+    }
+    let prefix = &mut values[..take];
+    prefix.sort_by(f64::total_cmp);
+    prefix.iter().sum::<f64>() / k as f64
+}
+
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -167,8 +181,7 @@ impl Transform for OutlierRemover {
                             let row = &all[qi * n..(qi + 1) * n];
                             let mut dists: Vec<f64> =
                                 (0..n).filter(|&j| j != i).map(|j| row[j]).collect();
-                            dists.sort_by(|a, b| a.total_cmp(b));
-                            dists.iter().take(k).sum::<f64>() / k as f64
+                            mean_k_smallest(&mut dists, k)
                         })
                         .collect::<Vec<_>>()
                 });
@@ -436,6 +449,46 @@ mod tests {
         let mut rem = OutlierRemover::new(vec![], OutlierMethod::Lof { k: 5, factor: 10.0 });
         let out = rem.fit_transform(&t).unwrap();
         assert_eq!(out.n_rows(), 50);
+    }
+
+    /// The full-sort formulation `mean_k_smallest` replaces.
+    fn mean_k_smallest_reference(values: &[f64], k: usize) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.iter().take(k).sum::<f64>() / k as f64
+    }
+
+    #[test]
+    fn mean_k_smallest_matches_full_sort_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for len in [0usize, 1, 2, 3, 7, 64, 257] {
+            // Coarse values force ties (the distances of duplicate rows),
+            // fine ones make the summation order visible in the low bits.
+            let coarse: Vec<f64> = (0..len).map(|_| rng.gen_range(0..4) as f64 * 0.1).collect();
+            let fine: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() * 1e3).collect();
+            let zeros = vec![0.0; len];
+            for values in [coarse, fine, zeros] {
+                for k in [1, 2, 5, len.saturating_sub(1).max(1), len, len + 3] {
+                    let want = mean_k_smallest_reference(&values, k);
+                    let got = mean_k_smallest(&mut values.clone(), k);
+                    assert_eq!(got.to_bits(), want.to_bits(), "len {len} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lof_handles_duplicates_tiny_tables_and_large_k() {
+        // n = 1: no neighbours at all.
+        let one = Table::from_columns(vec![("x", Column::from_f64(vec![3.0]))]).unwrap();
+        let mut rem = OutlierRemover::new(vec![], OutlierMethod::Lof { k: 5, factor: 2.0 });
+        assert_eq!(rem.fit_transform(&one).unwrap().n_rows(), 1);
+        // k ≥ n − 1 over duplicate rows: every mean distance ties, none is
+        // an outlier.
+        let dup = Table::from_columns(vec![("x", Column::from_f64(vec![1.0; 6]))]).unwrap();
+        let mut rem = OutlierRemover::new(vec![], OutlierMethod::Lof { k: 9, factor: 2.0 });
+        assert_eq!(rem.fit_transform(&dup).unwrap().n_rows(), 6);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Trace counter: DAG step-cache lookups that returned a memoized output.
@@ -339,15 +339,17 @@ impl StepDag {
     }
 }
 
-/// Column-level difference one local step applied to one table.
+/// Column-level difference one local step applied to one table. The
+/// columns are shared with the step's output, so building, caching and
+/// applying a diff copies no values.
 #[derive(Clone, Default)]
 struct TableDiff {
     /// Columns replaced in place (possibly with a new dtype).
-    replaced: Vec<(String, Column)>,
+    replaced: Vec<(String, Arc<Column>)>,
     /// Columns removed.
     dropped: Vec<String>,
     /// Columns appended at the end, in append order.
-    appended: Vec<(String, Column)>,
+    appended: Vec<(String, Arc<Column>)>,
 }
 
 #[derive(Clone, Default)]
@@ -363,7 +365,9 @@ enum CachedOutput {
     /// lineage matches the key).
     Diff(Box<StepDiff>),
     /// A barrier step's full output tables (its lineage covers every
-    /// prior step, so the whole state is determined by the key).
+    /// prior step, so the whole state is determined by the key). They
+    /// share columns with the live tables; later steps copy a column
+    /// before mutating it, so the entry never changes.
     Full { train: Table, test: Table },
     /// A model step's evaluation result.
     Model { train: TaskMetrics, test: TaskMetrics, n_features: usize },
@@ -465,16 +469,16 @@ fn step_key(base: u128, nodes: &[DagNode], ancestors: &BTreeSet<usize>, idx: usi
     ((h1.finish() as u128) << 64) | h2.finish() as u128
 }
 
-/// Clone only the columns a local step can touch (reads ∪ writes,
+/// Share only the columns a local step can touch (reads ∪ writes,
 /// prefixes included). Single-column operators see exactly the columns
 /// they would read from the full table, so their outputs — and their
-/// errors, down to the message — match a full-table run, at a fraction
-/// of the copy cost.
+/// errors, down to the message — match a full-table run.
 fn project(table: &Table, reads: &ColSet, writes: &ColSet) -> Table {
     let mut out = Table::empty();
-    for (f, c) in table.iter_columns() {
+    for f in table.schema().fields() {
         if reads.contains(&f.name) || writes.contains(&f.name) {
-            out.add_column(f.name.clone(), c.clone()).expect("projection names are unique");
+            let col = Arc::clone(table.shared_column(&f.name).expect("schema column"));
+            out.add_column(f.name.clone(), col).expect("projection names are unique");
         }
     }
     out
@@ -493,12 +497,11 @@ fn table_diff(pre: &Table, post: &Table, writes: &ColSet) -> TableDiff {
         }
     }
     for name in &post_names {
+        let col = || Arc::clone(post.shared_column(name).expect("named column"));
         if !pre.schema().contains(name) {
-            diff.appended
-                .push((name.to_string(), post.column(name).expect("named column").clone()));
+            diff.appended.push((name.to_string(), col()));
         } else if writes.contains(name) {
-            diff.replaced
-                .push((name.to_string(), post.column(name).expect("named column").clone()));
+            diff.replaced.push((name.to_string(), col()));
         }
     }
     diff
@@ -511,13 +514,13 @@ fn apply_table_diff(table: &mut Table, diff: &TableDiff, line: usize) -> Result<
         PipelineError::new(ErrorKind::ColumnNotFound, e.to_string()).at_line(line)
     };
     for (name, col) in &diff.replaced {
-        table.replace_column(name, col.clone()).map_err(map)?;
+        table.replace_column(name, Arc::clone(col)).map_err(map)?;
     }
     for name in &diff.dropped {
         table.drop_column(name).map_err(map)?;
     }
     for (name, col) in &diff.appended {
-        table.add_column(name.clone(), col.clone()).map_err(map)?;
+        table.add_column(name.clone(), Arc::clone(col)).map_err(map)?;
     }
     Ok(())
 }
@@ -961,6 +964,78 @@ mod tests {
         assert!(json.contains("\"op\":\"impute\""), "{json}");
         assert!(json.contains("\"barrier\":true"), "{json}");
         assert!(json.contains("\"deps\":[0]"), "{json}");
+    }
+
+    /// Train/test tables with nulls in a numeric and a string column.
+    fn toy_tables() -> (Table, Table) {
+        let n = 90;
+        let xs: Vec<Option<f64>> =
+            (0..n).map(|i| if i % 7 == 0 { None } else { Some(i as f64) }).collect();
+        let color: Vec<Option<String>> = (0..n)
+            .map(|i| if i % 11 == 0 { None } else { Some(["red", "blue"][i % 2].to_string()) })
+            .collect();
+        let y: Vec<&str> = (0..n).map(|i| if i < n / 2 { "no" } else { "yes" }).collect();
+        Table::from_columns(vec![
+            ("x", Column::Float(xs)),
+            ("color", Column::Str(color)),
+            ("y", Column::from_strings(y)),
+        ])
+        .unwrap()
+        .train_test_split(0.7, 3)
+        .unwrap()
+    }
+
+    const SHARED_STORAGE_PROGRAM: &str = "pipeline {\n  impute * strategy mean;\n  impute * strategy most_frequent;\n  scale \"x\" method standard;\n  encode \"color\" method onehot;\n  model classifier decision_tree target \"y\";\n}";
+
+    fn config(mode: ExecMode) -> ExecutionConfig {
+        ExecutionConfig {
+            exec_mode: mode,
+            step_cache: Some(std::sync::Arc::new(StepCache::new())),
+            ..ExecutionConfig::new(catdb_ml::TaskKind::BinaryClassification)
+        }
+    }
+
+    #[test]
+    fn execute_leaves_the_callers_tables_untouched() {
+        let (train, test) = toy_tables();
+        let before = (table_fingerprint(&train), table_fingerprint(&test));
+        let p = program(SHARED_STORAGE_PROGRAM);
+        for mode in [ExecMode::Seq, ExecMode::Dag] {
+            crate::execute(&p, &train, &test, &Environment::default(), &config(mode)).unwrap();
+            assert_eq!((table_fingerprint(&train), table_fingerprint(&test)), before, "{mode}");
+        }
+    }
+
+    #[test]
+    fn cached_full_outputs_survive_later_steps() {
+        let (train, test) = toy_tables();
+        let p = program(SHARED_STORAGE_PROGRAM);
+        let cfg = config(ExecMode::Dag);
+        // The two wildcard imputes are barriers, cached whole. Recompute
+        // their outputs on private copies as the reference.
+        let mut expected = Vec::new();
+        let (mut t, mut te) = (train.clone(), test.clone());
+        for (idx, step) in p.steps.iter().take(2).enumerate() {
+            apply_step(step, step_line(idx), &mut t, &mut te, &cfg, Some("y"), false).unwrap();
+            expected.push((table_fingerprint(&t), table_fingerprint(&te)));
+        }
+        crate::execute(&p, &train, &test, &Environment::default(), &cfg).unwrap();
+        let cache = cfg.step_cache.as_ref().unwrap();
+        let mut cached: Vec<(u128, u128)> = cache
+            .entries
+            .lock()
+            .unwrap()
+            .values()
+            .filter_map(|e| match e {
+                CachedOutput::Full { train, test } => {
+                    Some((table_fingerprint(train), table_fingerprint(test)))
+                }
+                _ => None,
+            })
+            .collect();
+        cached.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(cached, expected);
     }
 
     #[test]

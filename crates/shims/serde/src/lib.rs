@@ -15,6 +15,7 @@ pub use serde_derive::{Deserialize, Serialize};
 pub use value::{DeError, Map, Value};
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Serialize into a JSON value tree.
 pub trait Serialize {
@@ -100,6 +101,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn serialize(&self) -> Value {
+        (**self).serialize()
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
@@ -220,6 +227,12 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(v: &Value) -> Result<Box<T>, DeError> {
         T::deserialize(v).map(Box::new)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(v: &Value) -> Result<Arc<T>, DeError> {
+        T::deserialize(v).map(Arc::new)
     }
 }
 

@@ -6,6 +6,11 @@
 //! the row counts used by the CatDB evaluation (≤ a few hundred thousand)
 //! this is simpler and fast enough; dictionary encoding happens downstream
 //! in the catalog for categorical features.
+//!
+//! A [`crate::Table`] holds each column behind an `Arc` and copies it on
+//! write, so a `Column` is cloned only when a table mutates one it shares
+//! with another table, or when a row-set change (`take`, `filter`,
+//! `vstack`) builds a new one.
 
 use crate::error::{Result, TableError};
 use crate::value::{DataType, Value};

@@ -19,11 +19,20 @@ impl Field {
 }
 
 /// An ordered collection of fields. Field names are unique.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Schema {
     fields: Vec<Field>,
     #[serde(skip)]
     index: HashMap<String, usize>,
+}
+
+/// Deserialization rebuilds the name index (which is not serialized) and
+/// rejects duplicate names.
+impl Deserialize for Schema {
+    fn deserialize(v: &serde::Value) -> std::result::Result<Schema, serde::DeError> {
+        let fields: Vec<Field> = serde::field(v, "fields")?;
+        Schema::new(fields).map_err(|e| serde::DeError::new(e.to_string()))
+    }
 }
 
 impl PartialEq for Schema {
@@ -43,7 +52,7 @@ impl Schema {
         Ok(Schema { fields, index })
     }
 
-    /// Rebuild the name index (needed after deserialization, which skips it).
+    /// Rebuild the name index from the fields.
     pub fn rebuild_index(&mut self) {
         self.index = self.fields.iter().enumerate().map(|(i, f)| (f.name.clone(), i)).collect();
     }
@@ -86,6 +95,11 @@ impl Schema {
         self.index.insert(field.name.clone(), self.fields.len());
         self.fields.push(field);
         Ok(())
+    }
+
+    /// Change the type of the field at `idx` (names and index unchanged).
+    pub(crate) fn set_dtype(&mut self, idx: usize, dtype: DataType) {
+        self.fields[idx].dtype = dtype;
     }
 
     /// Remove the field named `name`; errors if absent.

@@ -1,4 +1,13 @@
 //! The `Table`: an ordered set of equally-long typed columns.
+//!
+//! Columns are stored copy-on-write as `Arc<Column>`. Cloning a table
+//! copies the schema and bumps one reference count per column; a column's
+//! values are copied only when a holder mutates it while it is shared
+//! ([`Table::column_mut`] goes through `Arc::make_mut`). Per-column
+//! pipeline steps therefore cost O(columns) pointer copies plus the one
+//! column they rewrite, and tables that share lineage (the DAG executor's
+//! projections and step cache) share storage. Row-set changes (`take`,
+//! `slice_rows`, `filter`, `vstack`) build new columns.
 
 use crate::column::Column;
 use crate::error::{Result, TableError};
@@ -8,14 +17,15 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An immutable-length, columnar table. Column mutation goes through typed
 /// accessors; structural changes (add/drop/rename) keep schema and storage
-/// in lock step.
+/// in lock step. The JSON form is the same as for owned columns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     n_rows: usize,
 }
 
@@ -42,7 +52,7 @@ impl Table {
                 });
             }
             schema.push(Field::new(name, col.dtype()))?;
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
         Ok(Table { schema, columns, n_rows: n_rows.unwrap_or(0) })
     }
@@ -65,21 +75,26 @@ impl Table {
 
     /// Column by name.
     pub fn column(&self, name: &str) -> Result<&Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
-        Ok(&self.columns[idx])
+        self.shared_column(name).map(|c| &**c)
     }
 
-    /// Mutable column by name. Callers must not change the column length;
-    /// use [`Table::filter`] / [`Table::take`] for row-set changes.
+    /// The shared handle of a column, for moving it into another table
+    /// without copying its values.
+    pub fn shared_column(&self, name: &str) -> Result<&Arc<Column>> {
+        Ok(&self.columns[self.index_of(name)?])
+    }
+
+    /// Mutable column by name. Copies the column first if another table
+    /// shares it, so mutation never shows through a clone. Callers must
+    /// not change the column length; use [`Table::filter`] /
+    /// [`Table::take`] for row-set changes.
     pub fn column_mut(&mut self, name: &str) -> Result<&mut Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
-        Ok(&mut self.columns[idx])
+        let idx = self.index_of(name)?;
+        Ok(Arc::make_mut(&mut self.columns[idx]))
+    }
+
+    fn index_of(&self, name: &str) -> Result<usize> {
+        self.schema.index_of(name).ok_or_else(|| TableError::ColumnNotFound(name.to_string()))
     }
 
     /// Column by position.
@@ -89,7 +104,7 @@ impl Table {
 
     /// Iterate `(field, column)` pairs in schema order.
     pub fn iter_columns(&self) -> impl Iterator<Item = (&Field, &Column)> {
-        self.schema.fields().iter().zip(self.columns.iter())
+        self.schema.fields().iter().zip(self.columns.iter().map(|c| &**c))
     }
 
     /// Value at (`row`, `column name`).
@@ -108,9 +123,15 @@ impl Table {
         Ok(self.columns.iter().map(|c| c.get(row)).collect())
     }
 
-    /// Add a column; errors on duplicate name or length mismatch.
-    pub fn add_column(&mut self, name: impl Into<String>, col: Column) -> Result<()> {
+    /// Add a column (owned or shared); errors on duplicate name or length
+    /// mismatch.
+    pub fn add_column(
+        &mut self,
+        name: impl Into<String>,
+        col: impl Into<Arc<Column>>,
+    ) -> Result<()> {
         let name = name.into();
+        let col = col.into();
         if self.n_cols() > 0 && col.len() != self.n_rows {
             return Err(TableError::LengthMismatch {
                 expected: self.n_rows,
@@ -126,23 +147,20 @@ impl Table {
         Ok(())
     }
 
-    /// Remove a column by name and return it.
-    pub fn drop_column(&mut self, name: &str) -> Result<Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
+    /// Remove a column by name.
+    pub fn drop_column(&mut self, name: &str) -> Result<()> {
+        let idx = self.index_of(name)?;
         self.schema.remove(name)?;
-        Ok(self.columns.remove(idx))
+        self.columns.remove(idx);
+        Ok(())
     }
 
-    /// Replace an existing column, keeping its position. The replacement may
-    /// change the physical type (e.g. string → float after refinement).
-    pub fn replace_column(&mut self, name: &str, col: Column) -> Result<()> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
+    /// Replace an existing column (owned or shared), keeping its position.
+    /// The replacement may change the physical type (e.g. string → float
+    /// after refinement).
+    pub fn replace_column(&mut self, name: &str, col: impl Into<Arc<Column>>) -> Result<()> {
+        let col = col.into();
+        let idx = self.index_of(name)?;
         if col.len() != self.n_rows {
             return Err(TableError::LengthMismatch {
                 expected: self.n_rows,
@@ -150,13 +168,9 @@ impl Table {
                 column: name.to_string(),
             });
         }
-        let new_dtype = col.dtype();
-        self.columns[idx] = col;
         // Schema type may have changed.
-        let field_name = self.schema.field(idx).name.clone();
-        let mut fields: Vec<Field> = self.schema.fields().to_vec();
-        fields[idx] = Field::new(field_name, new_dtype);
-        self.schema = Schema::new(fields).expect("names unchanged");
+        self.schema.set_dtype(idx, col.dtype());
+        self.columns[idx] = col;
         Ok(())
     }
 
@@ -171,7 +185,7 @@ impl Table {
         }
         Ok(Table {
             schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            columns: self.columns.iter().map(|c| Arc::new(c.take(indices))).collect(),
             n_rows: indices.len(),
         })
     }
@@ -184,7 +198,7 @@ impl Table {
         }
         Ok(Table {
             schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.slice(r.clone())).collect(),
+            columns: self.columns.iter().map(|c| Arc::new(c.slice(r.clone()))).collect(),
             n_rows: r.len(),
         })
     }
@@ -195,13 +209,18 @@ impl Table {
         self.take(&indices).expect("indices in range by construction")
     }
 
-    /// New table with only the named columns, in the given order.
+    /// New table with only the named columns, in the given order. The
+    /// columns are shared with `self`, not copied.
     pub fn select(&self, names: &[&str]) -> Result<Table> {
-        let mut cols = Vec::with_capacity(names.len());
-        for &name in names {
-            cols.push((name.to_string(), self.column(name)?.clone()));
+        let cols = names
+            .iter()
+            .map(|&name| Ok((name, Arc::clone(self.shared_column(name)?))))
+            .collect::<Result<Vec<_>>>()?;
+        let mut out = Table::empty();
+        for (name, col) in cols {
+            out.add_column(name, col)?;
         }
-        Table::from_columns(cols)
+        Ok(out)
     }
 
     /// Vertically concatenate `other` below `self`. Schemas must match
@@ -210,9 +229,11 @@ impl Table {
         if self.schema != other.schema {
             return Err(TableError::Invalid("vstack requires identical schemas".into()));
         }
-        let mut columns = self.columns.clone();
-        for (a, b) in columns.iter_mut().zip(other.columns.iter()) {
-            a.extend_from(b)?;
+        let mut columns = Vec::with_capacity(self.columns.len());
+        for (a, b) in self.columns.iter().zip(other.columns.iter()) {
+            let mut col = Column::clone(a);
+            col.extend_from(b)?;
+            columns.push(Arc::new(col));
         }
         Ok(Table { schema: self.schema.clone(), columns, n_rows: self.n_rows + other.n_rows })
     }
@@ -458,6 +479,57 @@ mod tests {
         assert!(t.column("points").is_ok());
         t.replace_column("points", Column::from_strings(vec!["a", "b", "c", "d"])).unwrap();
         assert_eq!(t.column("points").unwrap().dtype(), DataType::Str);
+    }
+
+    #[test]
+    fn mutating_a_clone_never_changes_the_original() {
+        let a = sample_table();
+        let mutations: [fn(&mut Table); 5] = [
+            |b| b.column_mut("score").unwrap().set(0, Value::Float(9.0)).unwrap(),
+            |b| b.replace_column("id", Column::from_i64(vec![7; 4])).unwrap(),
+            |b| b.add_column("flag", Column::from_bools(vec![true; 4])).unwrap(),
+            |b| b.drop_column("name").unwrap(),
+            |b| *b = b.filter(|i| i % 2 == 0),
+        ];
+        for mutate in mutations {
+            let mut b = a.clone();
+            mutate(&mut b);
+            assert_ne!(b, a);
+            // `sample_table()` builds fresh storage, so it is a snapshot
+            // that shares nothing with `a`.
+            assert_eq!(a, sample_table());
+        }
+    }
+
+    #[test]
+    fn clones_share_columns_until_one_is_mutated() {
+        let a = sample_table();
+        let mut b = a.clone();
+        b.column_mut("score").unwrap();
+        assert!(!Arc::ptr_eq(a.shared_column("score").unwrap(), b.shared_column("score").unwrap()));
+        assert!(Arc::ptr_eq(a.shared_column("name").unwrap(), b.shared_column("name").unwrap()));
+        let picked = a.select(&["name", "id"]).unwrap();
+        assert!(Arc::ptr_eq(a.shared_column("id").unwrap(), picked.shared_column("id").unwrap()));
+        assert_eq!(picked.schema().names(), vec!["name", "id"]);
+    }
+
+    #[test]
+    fn json_form_is_pinned() {
+        let t = Table::from_columns(vec![
+            ("id", Column::Int(vec![Some(1), None])),
+            ("name", Column::Str(vec![Some("a\"b".into()), None])),
+            ("score", Column::Float(vec![Some(0.5), Some(-2.0)])),
+            ("flag", Column::Bool(vec![None, Some(true)])),
+        ])
+        .unwrap();
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(
+            json,
+            r#"{"schema":{"fields":[{"name":"id","dtype":"Int"},{"name":"name","dtype":"Str"},{"name":"score","dtype":"Float"},{"name":"flag","dtype":"Bool"}]},"columns":[{"Int":[1,null]},{"Str":["a\"b",null]},{"Float":[0.5,-2]},{"Bool":[null,true]}],"n_rows":2}"#
+        );
+        let back: Table = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(back.value(0, "name").unwrap(), Value::Str("a\"b".into()));
     }
 
     #[test]
