@@ -9,8 +9,8 @@ use catdb_core::{generate_chain_source, CatDbConfig, PromptBuilder, PromptOption
 use catdb_data::{generate, GenOptions};
 use catdb_llm::{Completion, LanguageModel, LlmError, ModelProfile, Prompt, SimLlm};
 use catdb_ml::{
-    Classifier, ForestConfig, KnnClassifier, KnnConfig, LogisticRegression, Matrix,
-    RandomForestClassifier, SplitMode,
+    Classifier, ForestConfig, GradientBoostingRegressor, KnnClassifier, KnnConfig,
+    LogisticRegression, Matrix, RandomForestClassifier, Regressor, SplitMode,
 };
 use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_profiler::{profile_table, ProfileOptions};
@@ -130,6 +130,17 @@ fn bench_models(c: &mut Criterion) {
                 },
             },
             |clf| clf.fit(black_box(&x), &y, 2).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    // Boosted regression trees in exact mode: every round fits residuals
+    // with the exact split search's regression scans, so this tracks the
+    // regression path the classifier forest above never takes.
+    let y_reg: Vec<f64> = rows.iter().map(|r| r[0] * 3.0 + (r[1] * 7.0).sin() - r[2]).collect();
+    group.bench_function("gradient_boosting_reg_exact_1000x20", |b| {
+        b.iter_batched(
+            GradientBoostingRegressor::default,
+            |reg| reg.fit(black_box(&x), &y_reg).unwrap(),
             BatchSize::SmallInput,
         )
     });

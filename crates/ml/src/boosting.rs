@@ -6,7 +6,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{binned_for, fit_reg_tree, SplitMode, TreeConfig, TreeRegressorModel};
+use crate::tree::{fit_reg_tree, split_index, SplitMode, TreeConfig, TreeRegressorModel};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone)]
@@ -64,8 +64,8 @@ impl Regressor for GradientBoostingRegressor {
         let base = y.iter().sum::<f64>() / y.len() as f64;
         let mut pred = vec![base; y.len()];
         let mut stages = Vec::with_capacity(self.config.n_rounds);
-        // The feature matrix never changes across rounds: quantize once.
-        let binned = binned_for(x, &stage_config(&self.config, 0));
+        // The feature matrix never changes across rounds: index it once.
+        let index = split_index(x, &stage_config(&self.config, 0));
         for round in 0..self.config.n_rounds {
             let residuals: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
             let tree = fit_reg_tree(
@@ -73,7 +73,7 @@ impl Regressor for GradientBoostingRegressor {
                 &residuals,
                 (0..x.rows()).collect(),
                 &stage_config(&self.config, round as u64),
-                binned.as_ref(),
+                &index,
             );
             let update = tree.predict_unchecked(x);
             for (p, u) in pred.iter_mut().zip(&update) {
@@ -127,8 +127,8 @@ impl Classifier for GradientBoostingClassifier {
         // identical no matter how many threads participate.
         let class_ids: Vec<usize> = (0..n_classes).collect();
         let limit = catdb_runtime::pool_size().saturating_add(1);
-        // One shared quantization across every class and round.
-        let binned = binned_for(x, &stage_config(&self.config, 0));
+        // One shared split index across every class and round.
+        let index = split_index(x, &stage_config(&self.config, 0));
         let classes = catdb_runtime::parallel_map(limit, &class_ids, |_, &c| {
             let targets: Vec<f64> = y.iter().map(|&l| (l == c) as usize as f64).collect();
             let pos = targets.iter().sum::<f64>().clamp(1.0, n - 1.0);
@@ -147,7 +147,7 @@ impl Classifier for GradientBoostingClassifier {
                     &grad,
                     (0..x.rows()).collect(),
                     &stage_config(&self.config, (c * self.config.n_rounds + round) as u64),
-                    binned.as_ref(),
+                    &index,
                 );
                 for (m, u) in margin.iter_mut().zip(tree.predict_unchecked(x)) {
                     *m += self.config.learning_rate * u;

@@ -8,7 +8,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{binned_for, fit_class_tree_on, fit_reg_tree, SplitMode, TreeConfig};
+use crate::tree::{fit_class_tree_on, fit_reg_tree, split_index, SplitMode, TreeConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -79,11 +79,11 @@ impl Classifier for RandomForestClassifier {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let samples: Vec<Vec<usize>> =
             (0..cfg.n_trees).map(|_| bootstrap_rows(n, &mut rng)).collect();
-        // Quantize once; every tree shares the same codes and bin edges.
-        let binned = binned_for(x, &tree_config(cfg, x.cols(), cfg.seed));
+        // Rank (or quantize) once; every tree shares the same index.
+        let index = split_index(x, &tree_config(cfg, x.cols(), cfg.seed));
         let trees = catdb_runtime::parallel_map(cfg.n_threads, &samples, |t, sample| {
             let tc = tree_config(cfg, x.cols(), cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            fit_class_tree_on(x, y, sample.clone(), n_classes, &tc, binned.as_ref())
+            fit_class_tree_on(x, y, sample.clone(), n_classes, &tc, &index)
         });
         Ok(Box::new(ForestClassifierModel { trees, n_classes }))
     }
@@ -94,11 +94,7 @@ impl ClassifierModel for ForestClassifierModel {
         check_finite(x, "prediction features")?;
         let mut acc = vec![vec![0.0; self.n_classes]; x.rows()];
         for tree in &self.trees {
-            for (row_acc, p) in acc.iter_mut().zip(tree.predict_proba(x)?) {
-                for (a, v) in row_acc.iter_mut().zip(p) {
-                    *a += v;
-                }
-            }
+            tree.add_proba_unchecked(x, &mut acc);
         }
         let k = self.trees.len() as f64;
         for row in &mut acc {
@@ -136,10 +132,10 @@ impl Regressor for RandomForestRegressor {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let samples: Vec<Vec<usize>> =
             (0..cfg.n_trees).map(|_| bootstrap_rows(n, &mut rng)).collect();
-        let binned = binned_for(x, &tree_config(cfg, x.cols(), cfg.seed));
+        let index = split_index(x, &tree_config(cfg, x.cols(), cfg.seed));
         let trees = catdb_runtime::parallel_map(cfg.n_threads, &samples, |t, sample| {
             let tc = tree_config(cfg, x.cols(), cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            fit_reg_tree(x, y, sample.clone(), &tc, binned.as_ref())
+            fit_reg_tree(x, y, sample.clone(), &tc, &index)
         });
         Ok(Box::new(ForestRegressorModel { trees }))
     }

@@ -78,6 +78,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "gas-drift_2000rows" { prof_ms = to_ms($2) }
   $1 == "random_forest_20trees_1000x20" { forest_ms = to_ms($2) }
   $1 == "random_forest_binned_20trees_1000x20" { binned_ms = to_ms($2) }
+  $1 == "gradient_boosting_reg_exact_1000x20" { boost_reg_ms = to_ms($2) }
   $1 == "knn_blocked_1000x20" { knn_ms = to_ms($2) }
   $1 == "chain_gen_beta4_seq" { chain_seq_ms = to_ms($2) }
   $1 == "chain_gen_beta4_conc4" { chain_conc_ms = to_ms($2) }
@@ -87,7 +88,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "seed_ingest_50k_mixed" { csv_seed_ms = to_ms($2) }
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
-    if (prof_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 ||
+    if (prof_ms == 0 || forest_ms == 0 || binned_ms == 0 || boost_reg_ms == 0 || knn_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
         csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0) {
@@ -116,6 +117,10 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"rows_per_sec\": %.0f,\n", 1000 / (binned_ms / 1000) >> out
     printf "      \"exact_ms\": %.3f,\n", forest_ms >> out
     printf "      \"speedup_vs_exact\": %.2f\n", forest_ms / binned_ms >> out
+    printf "    },\n" >> out
+    printf "    \"models/gradient_boosting_reg_exact_1000x20\": {\n" >> out
+    printf "      \"mean_ms\": %.3f,\n", boost_reg_ms >> out
+    printf "      \"rows_per_sec\": %.0f\n", 1000 / (boost_reg_ms / 1000) >> out
     printf "    },\n" >> out
     printf "    \"models/knn_blocked\": {\n" >> out
     printf "      \"mean_ms\": %.3f,\n", knn_ms >> out
@@ -169,6 +174,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "profiling : %.3f ms/iter (baseline %.3f, %.2fx)\n", prof_ms, base_prof, base_prof / prof_ms
     printf "forest    : %.3f ms/iter (baseline %.3f, %.2fx)\n", forest_ms, base_forest, base_forest / forest_ms
     printf "binned    : %.3f ms/iter (exact %.3f, %.2fx)\n", binned_ms, forest_ms, forest_ms / binned_ms
+    printf "boost reg : %.3f ms/iter exact 60-round fit 1000x20\n", boost_reg_ms
     printf "knn       : %.3f ms/iter fit+predict 1000x20 (blocked kernel)\n", knn_ms
     printf "chain     : %.3f ms seq vs %.3f ms conc4 (%.2fx)\n", chain_seq_ms, chain_conc_ms, chain_seq_ms / chain_conc_ms
     printf "cache     : %.4f ms miss vs %.4f ms hit (%.2fx); warm smoke %d hit(s), %d billed token(s)\n", cache_cold_ms, cache_warm_ms, cache_cold_ms / cache_warm_ms, smoke_hits, smoke_warm_tokens

@@ -16,9 +16,9 @@
 use catdb_automl::BasicFeaturizer;
 use catdb_data::{generate, GenOptions};
 use catdb_ml::{
-    metrics, BinnedDataset, BoostConfig, Classifier, DecisionTreeClassifier, ForestConfig,
-    GradientBoostingClassifier, KnnClassifier, KnnConfig, Matrix, RandomForestClassifier,
-    RandomForestRegressor, Regressor, SplitMode, TreeConfig,
+    metrics, BinnedDataset, BoostConfig, Classifier, DecisionTreeClassifier, DecisionTreeRegressor,
+    ForestConfig, GradientBoostingClassifier, GradientBoostingRegressor, KnnClassifier, KnnConfig,
+    Matrix, RandomForestClassifier, RandomForestRegressor, Regressor, SplitMode, TreeConfig,
 };
 use proptest::prelude::*;
 
@@ -89,6 +89,117 @@ fn exact_mode_is_bit_identical_to_seed_goldens_at_any_thread_count() {
     let m = KnnClassifier { config: KnnConfig { k: 5 } }.fit(&x, &yc, 2).unwrap();
     let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
     assert_eq!(h, GOLDEN_KNN_CLASS, "k-NN drifted");
+}
+
+// Exact-mode regressor goldens, captured on the sorted-scan split search
+// before the rank-indexed search replaced it.
+const GOLDEN_BOOST_REG: u64 = 0x19f519d7e56bcf48;
+const GOLDEN_TREE_REG: u64 = 0x6d27ad98f09fb7c9;
+
+#[test]
+fn exact_mode_regressors_are_bit_identical_to_goldens() {
+    let (x, _, yr) = lcg_data(400, 10);
+    let m = GradientBoostingRegressor {
+        config: BoostConfig { n_rounds: 15, seed: 11, ..Default::default() },
+    }
+    .fit(&x, &yr)
+    .unwrap();
+    assert_eq!(hash_f64s(m.predict(&x).unwrap()), GOLDEN_BOOST_REG, "boosting regressor drifted");
+
+    let m = DecisionTreeRegressor { config: TreeConfig { max_depth: 8, ..Default::default() } }
+        .fit(&x, &yr)
+        .unwrap();
+    assert_eq!(
+        hash_f64s(m.predict(&x).unwrap()),
+        GOLDEN_TREE_REG,
+        "decision tree regressor drifted"
+    );
+}
+
+/// Tie-heavy features: small integers, binary flags, a column mixing
+/// `-0.0` and `+0.0` (equal under `==`, distinct under `total_cmp`), a
+/// coarsely rounded continuous column, and a constant. Targets: three
+/// classes and a noisy regression target.
+fn tie_heavy_data(n: usize) -> (Matrix, Vec<usize>, Vec<f64>) {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            let small = (next() % 5) as f64;
+            let flag = (next() % 2) as f64;
+            let signed_zero = match next() % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => 1.0,
+                3 => -1.0,
+                _ => 0.5,
+            };
+            let coarse = ((next() % 1000) as f64 / 100.0).round() / 2.0;
+            let flag2 = (next() % 3 == 0) as u8 as f64;
+            vec![small, flag, signed_zero, coarse, flag2, 7.0]
+        })
+        .collect();
+    let y_class: Vec<usize> = rows
+        .iter()
+        .map(|r| ((r[0] + r[1] * 2.0 + r[2] + r[4]) as i64).rem_euclid(3) as usize)
+        .collect();
+    let y_reg: Vec<f64> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| r[0] * 1.5 - r[1] + r[2] * r[3] + ((i * 7919) % 13) as f64 / 13.0)
+        .collect();
+    (Matrix::from_rows(&rows), y_class, y_reg)
+}
+
+// Tie-heavy goldens, captured on the sorted-scan split search.
+const GOLDEN_TIES_FOREST_CLASS: u64 = 0x5e137e4d8469e980;
+const GOLDEN_TIES_FOREST_REG: u64 = 0x5ef9ae7f01d49f93;
+const GOLDEN_TIES_BOOST_CLASS: u64 = 0xaad6e0bb85cdc465;
+const GOLDEN_TIES_BOOST_REG: u64 = 0x97149041dcf5b183;
+const GOLDEN_TIES_TREE_CLASS: u64 = 0xd8265f761eaa5b21;
+const GOLDEN_TIES_TREE_REG: u64 = 0x4bedfcca609a5777;
+
+#[test]
+fn exact_mode_is_bit_identical_to_goldens_on_tie_heavy_features() {
+    let (x, yc, yr) = tie_heavy_data(360);
+    for threads in [1usize, 2, 8] {
+        let cfg = ForestConfig { n_trees: 10, seed: 5, n_threads: threads, ..Default::default() };
+        let m = RandomForestClassifier { config: cfg }.fit(&x, &yc, 3).unwrap();
+        let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
+        assert_eq!(h, GOLDEN_TIES_FOREST_CLASS, "forest classifier drifted at n_threads={threads}");
+
+        let cfg = ForestConfig { n_trees: 10, seed: 5, n_threads: threads, ..Default::default() };
+        let m = RandomForestRegressor { config: cfg }.fit(&x, &yr).unwrap();
+        let h = hash_f64s(m.predict(&x).unwrap());
+        assert_eq!(h, GOLDEN_TIES_FOREST_REG, "forest regressor drifted at n_threads={threads}");
+    }
+
+    // Boosting and single trees take no thread count of their own (the
+    // boosting classifier's class fan-out runs on the shared pool).
+    let boost = BoostConfig { n_rounds: 12, seed: 3, ..Default::default() };
+    let m = GradientBoostingClassifier { config: boost.clone() }.fit(&x, &yc, 3).unwrap();
+    let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
+    assert_eq!(h, GOLDEN_TIES_BOOST_CLASS, "boosting classifier drifted");
+    let m = GradientBoostingRegressor { config: boost }.fit(&x, &yr).unwrap();
+    assert_eq!(
+        hash_f64s(m.predict(&x).unwrap()),
+        GOLDEN_TIES_BOOST_REG,
+        "boosting regressor drifted"
+    );
+
+    let tree = TreeConfig { max_depth: 7, min_samples_leaf: 2, ..Default::default() };
+    let m = DecisionTreeClassifier { config: tree.clone() }.fit(&x, &yc, 3).unwrap();
+    let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
+    assert_eq!(h, GOLDEN_TIES_TREE_CLASS, "decision tree classifier drifted");
+    let m = DecisionTreeRegressor { config: tree }.fit(&x, &yr).unwrap();
+    assert_eq!(
+        hash_f64s(m.predict(&x).unwrap()),
+        GOLDEN_TIES_TREE_REG,
+        "decision tree regressor drifted"
+    );
 }
 
 #[test]
